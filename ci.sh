@@ -118,9 +118,42 @@ grep -q ' errors=0 ' "$SMOKE_DIR/conc-stats.log"
 grep -q ' conns_rejected=0 ' "$SMOKE_DIR/conc-stats.log"
 ACCEPTS=$(sed -n 's/.* accepts=\([0-9]*\).*/\1/p' "$SMOKE_DIR/conc-stats.log")
 [ "${ACCEPTS:-0}" -ge 257 ] || { echo "expected >=257 accepts, got ${ACCEPTS:-none}"; exit 1; }
+
+echo "==> vliw-serve raw-line smoke (over-deep JSON, non-canonical batch)"
+# Raw lines over bash's /dev/tcp, one fresh connection per exchange.
+raw_exchange() { # $1 = file holding one request line; prints the response line
+    local reply
+    exec 3<>"/dev/tcp/${ADDR%:*}/${ADDR##*:}"
+    cat "$1" >&3
+    IFS= read -r -t 30 reply <&3 || true
+    exec 3<&- 3>&-
+    printf '%s\n' "$reply"
+}
+# 200 000 nested arrays: a typed parse error, and the server lives on.
+{ printf '{"op":"compile","request":'; head -c 200000 /dev/zero | tr '\0' '['; echo; } \
+    > "$SMOKE_DIR/deep.line"
+raw_exchange "$SMOKE_DIR/deep.line" > "$SMOKE_DIR/deep.resp"
+grep -q '"ok":false' "$SMOKE_DIR/deep.resp" && grep -q 'nesting deeper than' "$SMOKE_DIR/deep.resp" \
+    || { echo "over-deep line did not get a typed error"; cat "$SMOKE_DIR/deep.resp"; exit 1; }
+echo '{"op":"ping"}' > "$SMOKE_DIR/ping.line"
+grep -q '"ok":true' <(raw_exchange "$SMOKE_DIR/ping.line") \
+    || { echo "server did not survive the over-deep line"; exit 1; }
+# `op` last: the line is split into its three entries like a canonical one
+# (each entry fails alone: it names no machine).
+echo '{"requests":[{"loop":"a"},{"loop":"b"},{"loop":"c"}],"op":"compile_batch"}' \
+    > "$SMOKE_DIR/batch.line"
+grep -q '"n":3' <(raw_exchange "$SMOKE_DIR/batch.line") \
+    || { echo "non-canonical batch was not split into 3 entries"; exit 1; }
 target/release/vliw-client --addr "$ADDR" --shutdown
 wait "$SERVED_PID"
 SERVED_PID=""
+
+echo "==> vliw-served --core threads is a usage error"
+# The thread-per-connection core is gone; only the reactor may be named.
+CORE_RC=0
+timeout 10 target/release/vliw-served --addr 127.0.0.1:0 --no-disk --core threads \
+    > /dev/null 2>&1 || CORE_RC=$?
+[ "$CORE_RC" -eq 2 ] || { echo "expected usage exit 2, got $CORE_RC"; exit 1; }
 
 echo "==> vliw-serve sharded smoke test (two peers, batch routing, failover)"
 serve_peer() { # $1 = cache dir, $2 = log file

@@ -31,7 +31,7 @@ use vliw_machine::MachineDesc;
 use vliw_pipeline::{run_corpus_grid_with, run_loop, LoopResult, PipelineConfig};
 use vliw_serve::{
     CachedCompiler, Client, CompileRequest, DiskStore, Json as WireJson, Server, ServerConfig,
-    ServerCore, ShardedClient, ShedPolicy, TieredCache,
+    ShardedClient, ShedPolicy, TieredCache,
 };
 
 struct Json {
@@ -79,7 +79,7 @@ fn cached_sweep(
 ) -> f64 {
     let runner = |l: &Loop, m: &MachineDesc, c: &PipelineConfig| -> LoopResult {
         engine
-            .compile_parts(l, m, c, None)
+            .compile(&CompileRequest::from_parts(l, m, c), None)
             .expect("cached compile")
             .0
             .to_loop_result()
@@ -91,7 +91,8 @@ fn cached_sweep(
     ms
 }
 
-/// Bind an in-process server over `engine` and return its address plus the
+/// Bind an in-process 2-worker server over `engine`, with room for the
+/// 512-connection concurrency runs, and return its address plus the
 /// serving thread.
 fn spawn_server(engine: Arc<CachedCompiler>) -> (String, std::thread::JoinHandle<()>) {
     let server = Server::bind(
@@ -100,29 +101,6 @@ fn spawn_server(engine: Arc<CachedCompiler>) -> (String, std::thread::JoinHandle
             workers: 2,
             default_timeout: Duration::from_secs(60),
             batch_parallelism: 8,
-            ..ServerConfig::default()
-        },
-        engine,
-    )
-    .expect("bind loopback server");
-    let addr = server.local_addr().expect("bound address").to_string();
-    let thread = std::thread::spawn(move || server.run());
-    (addr, thread)
-}
-
-/// Like [`spawn_server`], but with an explicit serving core and room for
-/// the 512-connection concurrency runs.
-fn spawn_server_core(
-    engine: Arc<CachedCompiler>,
-    core: ServerCore,
-) -> (String, std::thread::JoinHandle<()>) {
-    let server = Server::bind(
-        ServerConfig {
-            addr: "127.0.0.1:0".into(),
-            workers: 2,
-            default_timeout: Duration::from_secs(60),
-            batch_parallelism: 8,
-            core,
             max_conns: 2048,
             ..ServerConfig::default()
         },
@@ -152,16 +130,14 @@ struct ConcRun {
 }
 
 /// `total` warm requests round-robined over `k` connections, one request in
-/// flight at a time, so the numbers isolate how each core multiplexes
+/// flight at a time, so the numbers isolate how the server multiplexes
 /// connections rather than raw compile throughput.
 ///
 /// A connection whose response does not arrive within a second is written
-/// off as dead: the thread-pool baseline pins one worker to one connection
-/// for its lifetime, so with 2 workers it starves the other `k - 2`
-/// connections forever. Four consecutive write-offs write off every
-/// connection that has never answered, so the baseline finishes in seconds
-/// instead of hours while `served` records honestly how few of the `k`
-/// connections it actually multiplexed.
+/// off as dead, and four consecutive write-offs write off every connection
+/// that has never answered, so a server that starves connections finishes
+/// the run in seconds while `served` records honestly how many requests it
+/// actually answered.
 fn concurrency_run(addr: &str, k: usize, total: usize, line: &[u8]) -> ConcRun {
     let mut conns: Vec<Option<BufReader<TcpStream>>> = (0..k)
         .map(|_| {
@@ -216,6 +192,12 @@ fn concurrency_run(addr: &str, k: usize, total: usize, line: &[u8]) -> ConcRun {
         p99_us,
         served,
     }
+}
+
+/// The pass with the median throughput.
+fn median_run(mut runs: Vec<ConcRun>) -> ConcRun {
+    runs.sort_by(|a, b| a.rps.total_cmp(&b.rps));
+    runs.swap_remove(runs.len() / 2)
 }
 
 /// A deep joint-partitioner instance (daxpy unrolled 6x: 30 ops, 25 vregs
@@ -341,10 +323,8 @@ fn main() {
     // Cached results agree with the direct path on every scalar the
     // experiment harness consumes.
     let runner_check = |l: &Loop, m: &MachineDesc, c: &PipelineConfig| -> LoopResult {
-        let req = CompileRequest::from_parts(l, m, c);
-        let key = req.cache_key();
         fresh
-            .compile_canonical(&req, &key, None)
+            .compile(&CompileRequest::from_parts(l, m, c), None)
             .expect("cached compile")
             .0
             .to_loop_result()
@@ -495,32 +475,33 @@ fn main() {
     thread_a.join().expect("peer A exits");
     thread_b.join().expect("peer B exits");
 
-    // ---- concurrency: 1 vs 64 vs 512 clients, reactor vs thread pool -----
+    // ---- concurrency: 1 vs 64 vs 512 clients ------------------------------
     // Warm cache-hit round trips over the same 2-worker engine, so the
     // comparison isolates connection multiplexing: the reactor holds all
-    // 512 sockets on one thread, the thread-pool baseline can only ever
-    // serve as many connections as it has workers.
+    // 512 sockets on one thread and must keep most of its 1-connection
+    // throughput while doing so. One pass takes well under a second, so a
+    // single scheduler stall on a small shared host can halve it: the 1-
+    // and 512-connection runs alternate for `conc_passes` passes, and the
+    // floors judge each side's median-throughput pass.
     let conc_total = 2048usize;
+    let conc_passes = 5usize;
     let line = compile_line(&reqs[0]);
 
-    let (addr_r, thread_r) = spawn_server_core(Arc::clone(&engine), ServerCore::Reactor);
-    let r1 = concurrency_run(&addr_r, 1, conc_total, line.as_bytes());
+    let (addr_r, thread_r) = spawn_server(Arc::clone(&engine));
+    let (mut one, mut many) = (Vec::new(), Vec::new());
+    for _ in 0..conc_passes {
+        one.push(concurrency_run(&addr_r, 1, conc_total, line.as_bytes()));
+        many.push(concurrency_run(&addr_r, 512, conc_total, line.as_bytes()));
+    }
+    let served_512_min = many.iter().map(|r| r.served).min().unwrap_or(0);
+    let r1 = median_run(one);
+    let r512 = median_run(many);
     let r64 = concurrency_run(&addr_r, 64, conc_total, line.as_bytes());
-    let r512 = concurrency_run(&addr_r, 512, conc_total, line.as_bytes());
     Client::connect(&addr_r)
         .expect("connect for shutdown")
         .shutdown()
         .expect("shutdown reactor server");
     thread_r.join().expect("reactor server exits");
-
-    let (addr_t, thread_t) = spawn_server_core(Arc::clone(&engine), ServerCore::ThreadPool);
-    let t1 = concurrency_run(&addr_t, 1, conc_total, line.as_bytes());
-    let t512 = concurrency_run(&addr_t, 512, conc_total, line.as_bytes());
-    Client::connect(&addr_t)
-        .expect("connect for shutdown")
-        .shutdown()
-        .expect("shutdown thread-pool server");
-    thread_t.join().expect("thread-pool server exits");
 
     // ---- overload: governed lanes under a heavy flood --------------------
     // 512 client connections against a 2-worker reactor with a 1-worker
@@ -539,7 +520,6 @@ fn main() {
             workers: 2,
             default_timeout: Duration::from_secs(60),
             batch_parallelism: 8,
-            core: ServerCore::Reactor,
             max_conns: 2048,
             heavy_lane_workers: 1,
             shed_policy: ShedPolicy::Depth(4),
@@ -633,16 +613,14 @@ fn main() {
     j.int("sharded_variant_requests", sharded_variant_total);
     j.int("sharded_variant_hits", sharded_variant_hits);
     j.int("conc_requests_per_run", conc_total as u64);
+    j.int("conc_passes", conc_passes as u64);
     j.num("conc_reactor_rps_1", r1.rps);
     j.num("conc_reactor_rps_64", r64.rps);
     j.num("conc_reactor_rps_512", r512.rps);
     j.num("conc_reactor_p99_us_1", r1.p99_us);
     j.num("conc_reactor_p99_us_512", r512.p99_us);
-    j.int("conc_reactor_served_512", r512.served);
-    j.num("conc_threadpool_rps_1", t1.rps);
-    j.num("conc_threadpool_rps_512", t512.rps);
-    j.int("conc_threadpool_served_512", t512.served);
-    j.num("conc_512_speedup_vs_threadpool", r512.rps / t512.rps);
+    j.int("conc_reactor_served_512", served_512_min);
+    j.num("conc_reactor_rps_512_vs_1", r512.rps / r1.rps);
     j.int("overload_conns", overload_conns as u64);
     j.int("overload_heavy_requests", heavy_total as u64);
     j.int("overload_interactive_requests", inter.served);
@@ -669,12 +647,12 @@ fn main() {
          (got {:.2}x, baseline 3.83x)",
         cold_ms / direct_ms
     );
-    // Under the thread-per-connection core a dedicated blocked thread
-    // served per-line round trips with zero handoffs, so batching's
-    // amortisation was worth >=3x. The reactor core routes per-line and
+    // A thread-per-connection server answers per-line round trips from a
+    // dedicated blocked thread with zero handoffs, so batching's
+    // amortisation was once worth >=3x. The reactor routes per-line and
     // batch work through the same readiness loop + worker pool, which
-    // narrows the structural gap (both now pay one pool handoff); batch
-    // must still win clearly, it just wins less.
+    // narrows the structural gap (both pay one pool handoff); batch must
+    // still win clearly, it just wins less.
     assert!(
         per_line_ms / batch_ms >= 1.5,
         "one compile_batch must beat {} per-line round trips by >=1.5x (got {:.1}x)",
@@ -698,16 +676,15 @@ fn main() {
          representative's peer cache ({sharded_variant_hits}/{sharded_variant_total} hit)"
     );
     assert_eq!(
-        r512.served, conc_total as u64,
-        "the reactor must serve every request across 512 connections \
-         (served {} of {conc_total})",
-        r512.served
+        served_512_min, conc_total as u64,
+        "the reactor must serve every request across 512 connections in \
+         every pass (served {served_512_min} of {conc_total})"
     );
     assert!(
-        r512.rps / t512.rps >= 4.0,
-        "reactor warm throughput at 512 connections must beat the \
-         thread-pool baseline by >=4x (got {:.1}x)",
-        r512.rps / t512.rps
+        r512.rps >= 0.7 * r1.rps,
+        "warm throughput at 512 connections must keep >=70% of the \
+         1-connection throughput (got {:.2}x)",
+        r512.rps / r1.rps
     );
     assert!(
         r512.p99_us <= (2.0 * r1.p99_us).max(2000.0),

@@ -46,14 +46,17 @@ use vliw_pipeline::{
     render_scheduler_compare, scheduler_compare, table1_with, table2_with, LoopResult, LoopRunner,
     PipelineConfig,
 };
-use vliw_serve::{CachedCompiler, DiskStore, TieredCache};
+use vliw_serve::{CachedCompiler, CompileRequest, DiskStore, TieredCache};
 
 /// Routes compiles through the content-addressed cache.
 struct CachedRunner(Arc<CachedCompiler>);
 
 impl LoopRunner for CachedRunner {
     fn run(&self, body: &Loop, machine: &MachineDesc, cfg: &PipelineConfig) -> LoopResult {
-        match self.0.compile_parts(body, machine, cfg, None) {
+        match self
+            .0
+            .compile(&CompileRequest::from_parts(body, machine, cfg), None)
+        {
             Ok((res, _)) => res.to_loop_result(),
             Err(e) => panic!("cached compile of {} failed: {e}", body.name),
         }

@@ -4,7 +4,7 @@
 //! vliw-served [--addr HOST:PORT] [--workers N] [--mem-capacity N]
 //!             [--cache-dir PATH | --no-disk] [--timeout-ms N]
 //!             [--batch-parallelism N] [--max-conns N]
-//!             [--idle-timeout-ms N] [--core reactor|threads] [--force-poll]
+//!             [--idle-timeout-ms N] [--core reactor] [--force-poll]
 //!             [--mem-budget BYTES] [--heavy-lane-workers N]
 //!             [--shed-policy never|depth:N|adaptive]
 //! ```
@@ -14,14 +14,15 @@
 //! protocol until a `shutdown` request or SIGTERM/SIGINT arrives. The disk
 //! tier defaults to `target/vliw-cache/`.
 //!
-//! The default core is the event-driven reactor: `--workers` sizes the
-//! compile pool (not the connection count — one reactor thread holds every
-//! connection), `--max-conns` caps concurrent connections, and
-//! `--idle-timeout-ms` evicts idle connections (0 disables; default 5
-//! minutes). `--core threads` selects the legacy thread-per-connection
-//! core; `--force-poll` pins the reactor to the portable `poll(2)` backend.
+//! One reactor thread holds every connection: `--workers` sizes the
+//! compile pool (not the connection count), `--max-conns` caps concurrent
+//! connections, and `--idle-timeout-ms` evicts idle connections (0
+//! disables; default 5 minutes). `--force-poll` pins the reactor to the
+//! portable `poll(2)` backend. `--core reactor` names the only serving
+//! core and is accepted for compatibility; any other `--core` value is a
+//! usage error.
 //!
-//! The reactor core runs a resource governor (DESIGN.md §15):
+//! The server runs a resource governor (DESIGN.md §15):
 //! `--mem-budget` caps solver memory across all in-flight heavy compiles
 //! (bytes, with optional `k`/`m`/`g` suffix; default 256m),
 //! `--heavy-lane-workers` caps how many pool workers may run heavy
@@ -33,8 +34,7 @@
 use std::sync::OnceLock;
 use std::time::Duration;
 use vliw_serve::{
-    CachedCompiler, DiskStore, Server, ServerConfig, ServerCore, ShedPolicy, ShutdownHandle,
-    TieredCache,
+    CachedCompiler, DiskStore, Server, ServerConfig, ShedPolicy, ShutdownHandle, TieredCache,
 };
 
 /// Set once the server is bound; the signal handler signals through it.
@@ -67,7 +67,7 @@ fn usage() -> ! {
         "usage: vliw-served [--addr HOST:PORT] [--workers N] [--mem-capacity N]\n\
          \x20                  [--cache-dir PATH | --no-disk] [--timeout-ms N]\n\
          \x20                  [--batch-parallelism N] [--max-conns N]\n\
-         \x20                  [--idle-timeout-ms N] [--core reactor|threads]\n\
+         \x20                  [--idle-timeout-ms N] [--core reactor]\n\
          \x20                  [--force-poll] [--mem-budget BYTES[k|m|g]]\n\
          \x20                  [--heavy-lane-workers N]\n\
          \x20                  [--shed-policy never|depth:N|adaptive]"
@@ -96,7 +96,6 @@ fn main() {
     let mut batch_parallelism = 8usize;
     let mut max_conns = 4096usize;
     let mut idle_timeout_ms = 300_000u64; // 5 minutes; 0 disables
-    let mut core = ServerCore::Reactor;
     let mut force_poll = false;
     let mut mem_budget = 256u64 << 20;
     let mut heavy_lane_workers = 0usize;
@@ -118,10 +117,8 @@ fn main() {
             "--max-conns" => max_conns = value().parse().unwrap_or_else(|_| usage()),
             "--idle-timeout-ms" => idle_timeout_ms = value().parse().unwrap_or_else(|_| usage()),
             "--core" => {
-                core = match value().as_str() {
-                    "reactor" => ServerCore::Reactor,
-                    "threads" => ServerCore::ThreadPool,
-                    _ => usage(),
+                if value() != "reactor" {
+                    usage()
                 }
             }
             "--force-poll" => force_poll = true,
@@ -148,7 +145,6 @@ fn main() {
             workers,
             default_timeout: Duration::from_millis(timeout_ms),
             batch_parallelism,
-            core,
             idle_timeout: (idle_timeout_ms > 0).then(|| Duration::from_millis(idle_timeout_ms)),
             max_conns,
             force_poll,

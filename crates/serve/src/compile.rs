@@ -16,10 +16,14 @@
 //! is signalled and removed from the table, so a request that misses the
 //! table afterwards is guaranteed to hit the cache.
 //!
-//! Parsing happens exactly once per request: [`CachedCompiler::compile`]
-//! decodes the wire text up front and hands the parsed IR/machine/config
-//! structures straight to `run_loop`; [`CachedCompiler::compile_parts`]
-//! starts from parsed structures and never parses at all.
+//! There are two entry points. [`CachedCompiler::serve`] is the wire path:
+//! it answers with the pre-rendered result JSON under a [`RequestCtx`]
+//! (deadline, queue wait, lane, governor). [`CachedCompiler::compile`] is
+//! the in-process path (`repro --cache`, benches, tests) and returns the
+//! structured result. Both probe the request's own key first and decode
+//! its text only on a miss — exactly once — handing the parsed IR, machine
+//! and config straight to `run_loop`. Callers holding parsed structures
+//! build the request with [`CompileRequest::from_parts`].
 
 use crate::cache::TieredCache;
 use crate::envelope::{CacheKey, CompileRequest, CompileResult, RequestError};
@@ -28,10 +32,29 @@ use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-use vliw_governor::TrackedBudget;
+use vliw_governor::{Governor, Lane, PoolError, TrackedBudget};
 use vliw_ir::Loop;
 use vliw_machine::MachineDesc;
 use vliw_pipeline::{run_loop_governed, PartitionerKind, PipelineConfig};
+
+/// What the serving core knows about a request by the time a worker runs
+/// it: the client's deadline, how long it queued (subtracted from that
+/// deadline so the joint solver's clamped budget reflects time actually
+/// remaining), which lane admitted it, and the governor that grants heavy
+/// work its resource budget. [`RequestCtx::default`] is the ungoverned
+/// path: no deadline, zero wait, no lane, no governor.
+#[derive(Clone, Default)]
+pub struct RequestCtx {
+    /// The client's wait deadline (`timeout_ms` or the server default);
+    /// `None` waits for the result indefinitely.
+    pub timeout: Option<Duration>,
+    /// Measured time between enqueue and a worker picking the job up.
+    pub queue_wait: Duration,
+    /// Lane the admission classifier routed this request to.
+    pub lane: Option<Lane>,
+    /// The server's governor, when the serving core runs one.
+    pub governor: Option<Arc<Governor>>,
+}
 
 /// How a request was satisfied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -145,6 +168,41 @@ fn clamp_joint_budget(cfg: &PipelineConfig, deadline: Option<Duration>) -> (Pipe
     (out, true)
 }
 
+/// Whether `req` will run a budgeted (exact/joint) solver on a cache
+/// miss. Syntactic, matching the lane classifier's token test — the lane
+/// alone is not enough: small or warm-demoted exact/joint shapes are
+/// classified interactive but still solve on a miss, and they must not
+/// escape the pool's accounting.
+fn runs_governed_solver(req: &CompileRequest) -> bool {
+    req.config_text.contains("partitioner exact") || req.config_text.contains("partitioner joint")
+}
+
+/// The governor's resource grant for a request about to compile, if its
+/// lane and shape need one (see [`CachedCompiler::serve`]).
+fn open_budget(
+    req: &CompileRequest,
+    ctx: &RequestCtx,
+    deadline: Option<Duration>,
+) -> Result<Option<TrackedBudget>, CompileError> {
+    let (Some(gov), Some(lane)) = (&ctx.governor, ctx.lane) else {
+        return Ok(None);
+    };
+    if lane == Lane::Interactive && !runs_governed_solver(req) {
+        return Ok(None);
+    }
+    // 0 means no wall-clock bound to the governor.
+    let deadline_ms = deadline.map_or(0, |d| (d.as_millis() as u64).max(1));
+    let opened = match lane {
+        Lane::Heavy => gov.open_budget(deadline_ms),
+        Lane::Interactive => gov.open_budget_interactive(deadline_ms),
+    };
+    match opened {
+        Ok(budget) => Ok(Some(budget)),
+        Err(PoolError::Shed { retry_after_ms }) => Err(CompileError::Shed { retry_after_ms }),
+        Err(PoolError::Rejected) => Err(CompileError::Rejected),
+    }
+}
+
 /// Content-cached compiler with in-flight deduplication.
 pub struct CachedCompiler {
     cache: TieredCache,
@@ -187,65 +245,55 @@ impl CachedCompiler {
         key
     }
 
-    /// Serve `req` as pre-rendered result JSON — the server's hot path. A
-    /// rendered-map hit returns the shared bytes without even cloning the
-    /// cached result (the map is keyed by content hash, so an entry can
-    /// never be stale; it just doesn't refresh LRU recency). Anything else
-    /// falls through to the full compile path and renders once.
-    pub fn serve_rendered(
+    /// Serve `req` as pre-rendered result JSON — the server's hot path.
+    ///
+    /// * Every cache layer is probed first: the rendered-result memo
+    ///   (shared bytes, not even a result clone), then the tiered cache. A
+    ///   warm hit of a hard instance needs no resource grant.
+    /// * The deadline is the client's, minus the measured queue wait, so
+    ///   the joint solver's clamped budget is ¾ of the time *remaining*.
+    /// * On a miss, heavy-lane requests — and interactive exact/joint
+    ///   requests, whose solvers are just as unbounded in principle — open
+    ///   a [`TrackedBudget`] from the governor's pool: heavies against the
+    ///   heavy share, interactive compiles against the full pool including
+    ///   the reserve kept for them. A pool refusal is a typed
+    ///   [`CompileError::Shed`]/[`CompileError::Rejected`] instead of an
+    ///   untracked solve, so `--mem-budget` caps solver memory on every
+    ///   lane.
+    pub fn serve(
         self: &Arc<Self>,
         req: &CompileRequest,
-        deadline: Option<Duration>,
+        ctx: &RequestCtx,
     ) -> Result<(Arc<str>, Source), CompileError> {
-        self.serve_rendered_governed(req, deadline, None)
-    }
-
-    /// [`serve_rendered`](Self::serve_rendered) under a server-granted
-    /// resource budget: a miss runs the pipeline with `budget` threaded
-    /// into the exact/joint search loops, so pool exhaustion truncates the
-    /// solve instead of growing the process.
-    pub fn serve_rendered_governed(
-        self: &Arc<Self>,
-        req: &CompileRequest,
-        deadline: Option<Duration>,
-        budget: Option<TrackedBudget>,
-    ) -> Result<(Arc<str>, Source), CompileError> {
+        let started = Instant::now();
         let raw_key = self.key_for(req);
-        if let Some(doc) = self
-            .rendered
-            .lock()
-            .expect("rendered cache poisoned")
-            .get(&raw_key)
-        {
-            self.stats().mem_hit();
-            return Ok((Arc::clone(doc), Source::Cache));
-        }
-        let (res, source) = match self.cache.probe(&raw_key) {
-            Some(hit) => (hit, Source::Cache),
+        let outcome = match self.probe(&raw_key) {
+            Some(doc) => Ok((doc, Source::Cache)),
             None => {
-                let (body, machine, cfg) = req.decode().map_err(CompileError::BadRequest)?;
-                self.compile_parts_governed(&body, &machine, &cfg, deadline, budget)?
+                let deadline = ctx.timeout.map(|t| t.saturating_sub(ctx.queue_wait));
+                let budget = open_budget(req, ctx, deadline)?;
+                self.compile_decoded(req, deadline, budget)
+                    .map(|(res, source)| (self.rendered(&res), source))
             }
         };
-        Ok((self.rendered(&res), source))
+        self.stats()
+            .observe_latency_us(started.elapsed().as_micros() as u64);
+        outcome
     }
 
-    /// Probe every cache layer for `req` without ever compiling: the
-    /// rendered memo, then the tiered cache. The server's admission path
-    /// uses this so a heavy-shaped request that is actually a warm hit is
-    /// served without opening a pool grant.
-    pub fn probe_rendered(self: &Arc<Self>, req: &CompileRequest) -> Option<Arc<str>> {
-        let raw_key = self.key_for(req);
+    /// Every cache layer for `raw_key`, without ever compiling: the
+    /// rendered memo, then the tiered cache.
+    fn probe(&self, raw_key: &str) -> Option<Arc<str>> {
         if let Some(doc) = self
             .rendered
             .lock()
             .expect("rendered cache poisoned")
-            .get(&raw_key)
+            .get(raw_key)
         {
             self.stats().mem_hit();
             return Some(Arc::clone(doc));
         }
-        let res = self.cache.probe(&raw_key)?;
+        let res = self.cache.probe(raw_key)?;
         Some(self.rendered(&res))
     }
 
@@ -254,7 +302,7 @@ impl CachedCompiler {
     /// memoised: the truncation point depends on the caller's deadline,
     /// not just the request text the key hashes, so a memo entry could
     /// serve one caller's degraded answer to another with time to spare.
-    pub fn rendered(&self, res: &CompileResult) -> Arc<str> {
+    fn rendered(&self, res: &CompileResult) -> Arc<str> {
         if let Some(doc) = self
             .rendered
             .lock()
@@ -290,14 +338,12 @@ impl CachedCompiler {
         self.cache.flush();
     }
 
-    /// Compile `req`. The raw wire bytes double as the cache-key preimage,
-    /// so a request whose text is already canonical (anything our own
-    /// client or the sharded router sends) is served from cache without
-    /// parsing at all. Only on a raw-key miss is the text parsed — exactly
-    /// once — and the parsed structures handed straight to the pipeline;
-    /// non-canonical spellings of a cached request converge to the same
-    /// canonical key there. `deadline` bounds how long this caller waits;
-    /// the execution itself is never cancelled.
+    /// Compile `req` in-process. The raw wire bytes double as the cache-key
+    /// preimage, so a request whose text is already canonical (anything
+    /// built by [`CompileRequest::from_parts`], our own client, or the
+    /// sharded router) is served from cache without parsing at all.
+    /// `deadline` bounds how long this caller waits; the execution itself
+    /// is never cancelled.
     pub fn compile(
         self: &Arc<Self>,
         req: &CompileRequest,
@@ -307,57 +353,28 @@ impl CachedCompiler {
         if let Some(hit) = self.cache.probe(&raw_key) {
             return Ok((hit, Source::Cache));
         }
-        let (body, machine, cfg) = req.decode().map_err(CompileError::BadRequest)?;
-        self.compile_parts(&body, &machine, &cfg, deadline)
+        self.compile_decoded(req, deadline, None)
     }
 
-    /// Compile already-parsed pipeline inputs: canonical text is formatted
-    /// once for the key preimage, and a miss runs `run_loop` on the given
-    /// structures directly — no text is ever parsed.
-    pub fn compile_parts(
+    /// A miss on the request's own key: parse its text — exactly once —
+    /// and re-key it canonically, so non-canonical spellings of a cached
+    /// request converge on the canonical entry; only a miss there too runs
+    /// the pipeline on the parsed structures.
+    fn compile_decoded(
         self: &Arc<Self>,
-        body: &Loop,
-        machine: &MachineDesc,
-        cfg: &PipelineConfig,
-        deadline: Option<Duration>,
-    ) -> Result<(CompileResult, Source), CompileError> {
-        self.compile_parts_governed(body, machine, cfg, deadline, None)
-    }
-
-    /// [`compile_parts`](Self::compile_parts) with an optional server
-    /// resource budget threaded into the solver loops.
-    pub fn compile_parts_governed(
-        self: &Arc<Self>,
-        body: &Loop,
-        machine: &MachineDesc,
-        cfg: &PipelineConfig,
+        req: &CompileRequest,
         deadline: Option<Duration>,
         budget: Option<TrackedBudget>,
     ) -> Result<(CompileResult, Source), CompileError> {
-        let canonical = CompileRequest::from_parts(body, machine, cfg);
-        let key = self.key_for(&canonical);
+        let (body, machine, cfg) = req.decode().map_err(CompileError::BadRequest)?;
+        let key = self.key_for(&CompileRequest::from_parts(&body, &machine, &cfg));
         if let Some(hit) = self.cache.probe(&key) {
             return Ok((hit, Source::Cache));
         }
-        self.compile_missed(body, machine, cfg, &key, deadline, budget)
+        self.compile_missed(&body, &machine, &cfg, &key, deadline, budget)
     }
 
-    /// Compile an already-canonical request under a precomputed `key`. The
-    /// text is decoded only on a miss (one parse, no re-format).
-    pub fn compile_canonical(
-        self: &Arc<Self>,
-        req: &CompileRequest,
-        key: &str,
-        deadline: Option<Duration>,
-    ) -> Result<(CompileResult, Source), CompileError> {
-        if let Some(hit) = self.cache.probe(key) {
-            return Ok((hit, Source::Cache));
-        }
-        let (body, machine, cfg) = req.decode().map_err(CompileError::BadRequest)?;
-        self.compile_missed(&body, &machine, &cfg, &key.to_string(), deadline, None)
-    }
-
-    /// The exact-key-missed path shared by every compile entry point.
+    /// The exact-key-missed path shared by both compile entry points.
     ///
     /// The exact key stays authoritative — an exact repeat is always served
     /// bit-identically from its own entry. But the pipeline's heuristic
@@ -603,23 +620,27 @@ mod tests {
     }
 
     #[test]
-    fn compile_parts_matches_text_path() {
+    fn noisy_spelling_converges_on_the_canonical_entry() {
         let engine = engine();
-        let spec = CorpusSpec {
-            n: 1,
-            ..Default::default()
+        let req = sample_request(0);
+        // A comment-prefixed spelling of the same inputs: its own key
+        // misses, it compiles under the canonical key.
+        let noisy = CompileRequest {
+            loop_text: format!("; comment\n{}", req.loop_text),
+            ..req.clone()
         };
-        let body = corpus_with(&spec).remove(0);
-        let machine = MachineDesc::embedded(2, 4);
-        let cfg = PipelineConfig::default();
-        let (from_parts, src) = engine.compile_parts(&body, &machine, &cfg, None).unwrap();
+        assert_ne!(noisy.cache_key(), req.cache_key());
+        let (from_noisy, src) = engine.compile(&noisy, None).unwrap();
         assert_eq!(src, Source::Compiled);
-        // The text path lands on the same key and is served from cache.
-        let req = CompileRequest::from_parts(&body, &machine, &cfg);
+        // The canonical text lands on the same entry and is served from it.
         let (from_text, src) = engine.compile(&req, None).unwrap();
         assert_eq!(src, Source::Cache);
-        assert_eq!(from_parts, from_text);
-        assert_eq!(from_parts.key, req.cache_key());
+        assert_eq!(from_noisy, from_text);
+        assert_eq!(from_noisy.key, req.cache_key());
+        // The wire path answers the noisy spelling from cache as well.
+        let (doc, src) = engine.serve(&noisy, &RequestCtx::default()).unwrap();
+        assert_eq!(src, Source::Cache);
+        assert_eq!(&*doc, from_text.to_json().render());
     }
 
     #[test]
@@ -750,13 +771,13 @@ mod tests {
         let cfg = PipelineConfig::default();
         {
             let engine = CachedCompiler::new(TieredCache::new(8, Some(DiskStore::new(&root))));
-            engine.compile_parts(&body, &machine, &cfg, None).unwrap();
+            let req = CompileRequest::from_parts(&body, &machine, &cfg);
+            engine.compile(&req, None).unwrap();
         }
         let engine = CachedCompiler::new(TieredCache::new(8, Some(DiskStore::new(&root))));
         let var_body = vliw_normal::variant(&body, 99);
-        let (_, src) = engine
-            .compile_parts(&var_body, &machine, &cfg, None)
-            .unwrap();
+        let var_req = CompileRequest::from_parts(&var_body, &machine, &cfg);
+        let (_, src) = engine.compile(&var_req, None).unwrap();
         assert_eq!(src, Source::Cache);
         let snap = engine.stats().snapshot();
         assert_eq!((snap.compiles, snap.canon_hits), (0, 1));

@@ -1,4 +1,4 @@
-//! Per-connection protocol state machine for the reactor core.
+//! Per-connection protocol state machine.
 //!
 //! A [`Conn`] owns a connection's buffered wire bytes and pending response
 //! bytes but never touches a socket or the compile engine: the reactor
@@ -19,26 +19,30 @@
 //! reassembled into request-order slots; the aggregate response renders
 //! once the wire side is fully parsed and every slot is filled.
 //!
-//! Lines that cannot take the streaming path (non-canonical field order,
-//! unknown control fields) fall back to whole-line accumulation and are
-//! served by the ordinary dispatcher, exactly as the thread-pool core
-//! serves them.
+//! Every other line is accumulated whole. A complete line that turns out
+//! to be a `compile_batch` in another field order is then split the same
+//! way: its control fields are read in any order, and its `requests` array
+//! is handed to the streaming parser as if it had just arrived, so there
+//! is one batch implementation and every entry of every batch reaches the
+//! workers as its own [`Action::Entry`]. Any other line is a stand-alone
+//! request ([`Action::Line`]).
 
 use crate::json::{self as js, Json, Scan};
-use crate::server::{error_response, ServeOptions};
+use crate::server::error_response;
 use crate::stats::StatsRegistry;
+use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// The exact first bytes of a canonical batch line (matching the check in
-/// `handle_line`, so both cores agree on what is streamable).
+/// The exact first bytes of a canonical batch line, the only lines that
+/// stream before they are complete.
 const BATCH_PREFIX: &[u8] = b"{\"op\":\"compile_batch\"";
 
 /// Per-connection parsing limits and dispatch knobs.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ConnLimits {
-    /// Request-level options (default timeout, batch fan-out cap).
-    pub opts: ServeOptions,
+    /// Cap on one batch's in-flight entries.
+    pub batch_parallelism: usize,
     /// Longest tolerated request line / unconsumed residue, in bytes.
     pub max_line_bytes: usize,
 }
@@ -82,7 +86,7 @@ pub(crate) enum Action {
 enum Mode {
     /// Accumulating a line; still deciding whether it streams as a batch.
     Line,
-    /// The current line cannot stream; wait for its newline and emit whole.
+    /// The current line cannot stream; wait for its newline, then decide.
     WholeLine,
     /// Streaming a canonical batch body (state in `Conn::batch`).
     Batch,
@@ -122,19 +126,64 @@ struct BatchState {
     total: Option<usize>,
 }
 
-/// Outcome of one header-parse attempt over buffered (possibly truncated)
-/// bytes.
+/// A fresh batch positioned at its first entry, configured by its control
+/// fields in line order (unknown ones are ignored), or the typed error for
+/// a bad control value.
+fn batch_state(
+    controls: Vec<(Cow<'static, str>, Json)>,
+    limits: &ConnLimits,
+) -> Result<BatchState, Json> {
+    let mut timeout_ms = None;
+    let mut parallelism = limits.batch_parallelism;
+    let mut defaults = BatchDefaults::default();
+    for (key, value) in controls {
+        match key.as_ref() {
+            "timeout_ms" => match value.as_f64() {
+                Some(ms) if ms >= 0.0 => timeout_ms = Some(ms as u64),
+                _ => return Err(error_response("bad `timeout_ms`")),
+            },
+            "parallelism" => match value.as_f64() {
+                Some(p) if p >= 1.0 => parallelism = p as usize,
+                _ => return Err(error_response("bad `parallelism`")),
+            },
+            "defaults" => {
+                let text = |k: &str| value.get(k).and_then(Json::as_str).map(str::to_string);
+                defaults = BatchDefaults {
+                    machine: text("machine"),
+                    config: text("config"),
+                };
+            }
+            _ => {}
+        }
+    }
+    Ok(BatchState {
+        phase: Phase::Entry,
+        timeout_ms,
+        cap: parallelism.min(limits.batch_parallelism).max(1),
+        defaults: Arc::new(defaults),
+        next_idx: 0,
+        results: Vec::new(),
+        done: 0,
+        inflight: 0,
+        total: None,
+    })
+}
+
+/// How the line at the head of the buffer is served, as far as its
+/// buffered (possibly truncated) bytes tell.
 enum Header {
     /// Undecidable yet; wait for more bytes.
     NeedMore,
-    /// Not a canonical streaming batch; serve the whole line normally.
-    Fallback,
+    /// Not a `compile_batch` (or not valid JSON): one stand-alone request.
+    Request,
     /// A batch-level protocol error; respond and drain the line.
     Error(Json),
-    /// Canonical: control fields parsed, `requests` array opened.
-    Commit {
-        /// Bytes consumed through the `[` of `requests`.
-        consumed: usize,
+    /// A batch whose entries follow the `[` of `requests` at `open`. A
+    /// streamed batch commits there; in a whole line the array's `]` is at
+    /// `close - 1`.
+    Batch {
+        open: usize,
+        close: Option<usize>,
         state: BatchState,
     },
 }
@@ -315,7 +364,7 @@ impl Conn {
             return false;
         }
         // Blank space between lines (including the newlines themselves) is
-        // skipped, mirroring the thread-pool core's trim-and-skip.
+        // skipped.
         let lead = self
             .buf
             .iter()
@@ -335,37 +384,8 @@ impl Conn {
         if self.buf.len() < BATCH_PREFIX.len() {
             return false; // prefix still undecided — a handful of bytes
         }
-        let header = match find_newline(&self.buf) {
-            // The whole line is here: every outcome is decidable now.
-            Some(i) => header_of(&self.buf[..i], limits, true),
-            None => header_of(&self.buf, limits, false),
-        };
-        match header {
-            Header::NeedMore => {
-                if self.buf.len() > limits.max_line_bytes {
-                    self.oversize(stats, actions);
-                    return true;
-                }
-                false
-            }
-            Header::Fallback => {
-                self.mode = Mode::WholeLine;
-                true
-            }
-            Header::Error(doc) => {
-                stats.error();
-                push_doc(&mut self.out, &doc);
-                self.mode = Mode::DrainLine;
-                true
-            }
-            Header::Commit { consumed, state } => {
-                self.buf.drain(..consumed);
-                stats.batch();
-                self.batch = Some(state);
-                self.mode = Mode::Batch;
-                true
-            }
-        }
+        let newline = find_newline(&self.buf);
+        self.decide(newline, true, limits, stats, actions)
     }
 
     fn step_whole_line(
@@ -378,23 +398,61 @@ impl Conn {
             return false;
         }
         match find_newline(&self.buf) {
-            None => {
-                if self.buf.len() > limits.max_line_bytes {
-                    self.oversize(stats, actions);
-                    return true;
-                }
-                false
-            }
-            Some(i) => {
-                let line = String::from_utf8_lossy(&self.buf[..i]).trim().to_string();
-                self.buf.drain(..=i);
-                self.mode = Mode::Line;
-                if !line.is_empty() {
-                    actions.push(Action::Line(line));
-                }
+            Some(i) => self.decide(Some(i), false, limits, stats, actions),
+            None if self.buf.len() > limits.max_line_bytes => {
+                self.oversize(stats, actions);
                 true
             }
+            None => false,
         }
+    }
+
+    /// Act on [`header_of`] for the line at the head of the buffer, which
+    /// ends at `newline` if that has arrived.
+    fn decide(
+        &mut self,
+        newline: Option<usize>,
+        stream: bool,
+        limits: &ConnLimits,
+        stats: &StatsRegistry,
+        actions: &mut Vec<Action>,
+    ) -> bool {
+        let line = &self.buf[..newline.unwrap_or(self.buf.len())];
+        match header_of(line, limits, stream, newline.is_some()) {
+            Header::NeedMore if self.buf.len() > limits.max_line_bytes => {
+                self.oversize(stats, actions)
+            }
+            Header::NeedMore => return false,
+            Header::Request => match newline {
+                None => self.mode = Mode::WholeLine,
+                Some(i) => {
+                    let line = String::from_utf8_lossy(&self.buf[..i]).trim().to_string();
+                    self.buf.drain(..=i);
+                    self.mode = Mode::Line;
+                    if !line.is_empty() {
+                        actions.push(Action::Line(line));
+                    }
+                }
+            },
+            Header::Error(doc) => {
+                stats.error();
+                push_doc(&mut self.out, &doc);
+                self.mode = Mode::DrainLine;
+            }
+            Header::Batch { open, close, state } => {
+                if let (Some(close), Some(i)) = (close, newline) {
+                    // Keep the entries and the array's `]`, and end the
+                    // line the way a canonical one ends: the streaming
+                    // parser takes it from the first entry.
+                    self.buf.splice(close..=i, *b"}\n");
+                }
+                self.buf.drain(..=open);
+                stats.batch();
+                self.batch = Some(state);
+                self.mode = Mode::Batch;
+            }
+        }
+        true
     }
 
     fn step_batch(
@@ -556,8 +614,8 @@ impl Conn {
                     .iter()
                     .map(|r| r.as_ref().map_or(0, |d| d.len() + 1))
                     .sum();
-                // Same key order the tree handler's sorted-map rendering
-                // produces, so clients see one response shape.
+                // Sorted key order, as `Json` renders every other
+                // response object.
                 let mut out = String::with_capacity(body + 64);
                 out.push_str("{\"n\":");
                 out.push_str(&n.to_string());
@@ -591,129 +649,118 @@ impl Conn {
     }
 }
 
-/// Parse the control-field prefix of a canonical batch line. `strict` means
-/// the slice is a complete line (a newline followed it), so parse failures
-/// are final; otherwise failures mean "wait for more bytes".
-fn header_of(bytes: &[u8], limits: &ConnLimits, strict: bool) -> Header {
-    fn undecided(strict: bool) -> Header {
-        if strict {
-            Header::Fallback
+/// Read a line's top-level fields up to the point where it is clear how
+/// to serve it. A `stream` line starts with [`BATCH_PREFIX`], so `op` comes
+/// first and the batch commits at its `requests` array: entries dispatch
+/// while the rest of the line is still on the wire, and control fields
+/// after `requests` are rejected later. Otherwise the line is `complete`
+/// and its fields may come in any order; the `requests` array is only
+/// delimited here, its entries go through the streaming parser all the
+/// same. Every other value is parsed (depth-bounded), so a line the
+/// dispatcher would reject as malformed JSON is left to it, and an `op`
+/// that is not `compile_batch` ends the walk — within a few bytes for
+/// every request our encoders write, since they put `op` first.
+fn header_of(bytes: &[u8], limits: &ConnLimits, stream: bool, complete: bool) -> Header {
+    let undecided = || {
+        if complete {
+            Header::Request
         } else {
             Header::NeedMore
         }
-    }
+    };
     let mut pos = 0usize;
     js::skip_ws(bytes, &mut pos);
     if js::expect(bytes, &mut pos, b'{').is_err() {
-        return undecided(strict);
+        return undecided();
     }
-    let mut timeout_ms: Option<u64> = None;
-    let mut requested = limits.opts.batch_parallelism;
-    let mut defaults = BatchDefaults::default();
-    let mut saw_op = false;
+    let mut is_batch = false;
+    let mut requests = None;
+    let mut controls = Vec::new();
     loop {
         js::skip_ws(bytes, &mut pos);
-        if pos >= bytes.len() {
-            return undecided(strict);
-        }
-        let key = match js::parse_key(bytes, &mut pos) {
-            Ok(k) => k,
-            Err(_) => return undecided(strict),
+        let Ok(key) = js::parse_key(bytes, &mut pos) else {
+            return undecided();
         };
         js::skip_ws(bytes, &mut pos);
         if js::expect(bytes, &mut pos, b':').is_err() {
-            return undecided(strict);
+            return undecided();
         }
+        js::skip_ws(bytes, &mut pos);
         if key.as_ref() == "requests" {
-            if !saw_op {
-                return Header::Fallback;
-            }
-            js::skip_ws(bytes, &mut pos);
-            return match bytes.get(pos) {
-                None => undecided(strict),
-                Some(b'[') => {
-                    let cap = requested.min(limits.opts.batch_parallelism).max(1);
-                    Header::Commit {
-                        consumed: pos + 1,
-                        state: BatchState {
-                            phase: Phase::Entry,
-                            timeout_ms,
-                            cap,
-                            defaults: Arc::new(defaults),
-                            next_idx: 0,
-                            results: Vec::new(),
-                            done: 0,
-                            inflight: 0,
-                            total: None,
+            if stream {
+                return match bytes.get(pos) {
+                    None => undecided(),
+                    Some(b'[') => match batch_state(controls, limits) {
+                        Ok(state) => Header::Batch {
+                            open: pos,
+                            close: None,
+                            state,
                         },
-                    }
-                }
-                Some(_) => {
-                    Header::Error(error_response("compile_batch op missing `requests` array"))
-                }
-            };
-        }
-        // Control values must be complete before they can be interpreted.
-        match js::scan_value(bytes, pos) {
-            Err(_) | Ok(Scan::Partial) => return undecided(strict),
-            Ok(Scan::Complete(_)) => {}
-        }
-        let value = match js::parse_value(bytes, &mut pos) {
-            Ok(v) => v,
-            Err(_) => return undecided(strict),
-        };
-        match key.as_ref() {
-            "op" => {
-                if value.as_str() != Some("compile_batch") {
-                    return Header::Fallback;
-                }
-                saw_op = true;
-            }
-            "timeout_ms" => match value.as_f64() {
-                Some(ms) if ms >= 0.0 => timeout_ms = Some(ms as u64),
-                _ => return Header::Error(error_response("bad `timeout_ms`")),
-            },
-            "parallelism" => match value.as_f64() {
-                Some(p) if p >= 1.0 => requested = p as usize,
-                _ => return Header::Error(error_response("bad `parallelism`")),
-            },
-            "defaults" => {
-                defaults = BatchDefaults {
-                    machine: value
-                        .get("machine")
-                        .and_then(Json::as_str)
-                        .map(str::to_string),
-                    config: value
-                        .get("config")
-                        .and_then(Json::as_str)
-                        .map(str::to_string),
+                        Err(doc) => Header::Error(doc),
+                    },
+                    Some(_) => missing_requests(),
                 };
             }
-            // Unrecognised control field: let the tree handler decide.
-            _ => return Header::Fallback,
+            let Ok(Scan::Complete(end)) = js::scan_value(bytes, pos) else {
+                return undecided();
+            };
+            requests = (bytes[pos] == b'[').then_some((pos, end));
+            pos = end;
+        } else {
+            // A value must be complete before it can be interpreted.
+            if !complete && !matches!(js::scan_value(bytes, pos), Ok(Scan::Complete(_))) {
+                return Header::NeedMore;
+            }
+            let Ok(value) = js::parse_value(bytes, &mut pos) else {
+                return undecided();
+            };
+            if key.as_ref() != "op" {
+                controls.push((key, value));
+            } else if value.as_str() == Some("compile_batch") {
+                is_batch = true;
+            } else {
+                return Header::Request;
+            }
         }
         js::skip_ws(bytes, &mut pos);
         match bytes.get(pos) {
             Some(b',') => pos += 1,
-            None => return undecided(strict),
-            // The object ended without `requests`; the tree handler
-            // reports it.
-            Some(_) => return Header::Fallback,
+            Some(b'}') => break,
+            _ => return undecided(),
         }
     }
+    pos += 1;
+    js::skip_ws(bytes, &mut pos);
+    if !complete {
+        return Header::NeedMore;
+    }
+    if pos != bytes.len() || !is_batch {
+        return Header::Request;
+    }
+    let Some((open, close)) = requests else {
+        return missing_requests();
+    };
+    match batch_state(controls, limits) {
+        Ok(state) => Header::Batch {
+            open,
+            close: Some(close),
+            state,
+        },
+        Err(doc) => Header::Error(doc),
+    }
+}
+
+fn missing_requests() -> Header {
+    Header::Error(error_response("compile_batch op missing `requests` array"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     fn limits() -> ConnLimits {
         ConnLimits {
-            opts: ServeOptions {
-                default_timeout: Duration::from_secs(10),
-                batch_parallelism: 8,
-            },
+            batch_parallelism: 8,
             max_line_bytes: 1 << 20,
         }
     }
@@ -851,25 +898,93 @@ mod tests {
     }
 
     #[test]
-    fn non_canonical_batch_falls_back_to_whole_line() {
+    fn non_canonical_batch_splits_into_entries() {
         let (limits, stats) = (limits(), StatsRegistry::new());
-        let mut conn = Conn::new();
-        // `op` is not the first field: not streamable; served as one line.
-        conn.push_bytes(b"{\"requests\":[],\"op\":\"compile_batch\"}\n");
-        let actions = conn.advance(&limits, &stats);
-        assert!(
-            matches!(actions.as_slice(), [Action::Line(_)]),
-            "{actions:?}"
-        );
-        // Unknown control field: same fallback.
-        conn.on_line_response("{}");
-        let mut conn2 = Conn::new();
-        conn2.push_bytes(b"{\"op\":\"compile_batch\",\"zzz\":1,\"requests\":[]}\n");
-        let actions = conn2.advance(&limits, &stats);
-        assert!(
-            matches!(actions.as_slice(), [Action::Line(_)]),
-            "{actions:?}"
-        );
+        // `op` is not the first field, and an unknown control field
+        // precedes `requests`: neither line streams, both are split whole.
+        let lines: [&[u8]; 2] = [
+            b"{\"requests\":[{\"loop\":\"a\"},{\"loop\":\"b\"}],\"timeout_ms\":7,\
+              \"op\":\"compile_batch\"}\n",
+            b"{\"op\":\"compile_batch\",\"zzz\":1,\"requests\":[{\"loop\":\"a\"}]}\n",
+        ];
+        for (line, n) in lines.into_iter().zip([2, 1]) {
+            let mut conn = Conn::new();
+            conn.push_bytes(line);
+            conn.push_bytes(b"{\"op\":\"ping\"}\n");
+            let actions = conn.advance(&limits, &stats);
+            let entries: Vec<_> = actions
+                .iter()
+                .map(|a| match a {
+                    Action::Entry {
+                        idx,
+                        text,
+                        timeout_ms,
+                        ..
+                    } => (*idx, text.clone(), *timeout_ms),
+                    other => panic!("expected only entries, got {other:?}"),
+                })
+                .collect();
+            assert_eq!(entries.len(), n, "{actions:?}");
+            assert_eq!(entries[0].1, "{\"loop\":\"a\"}");
+            assert_eq!(entries[0].2, (n == 2).then_some(7));
+            for idx in 0..n {
+                conn.on_entry_result(conn.gen, idx, Arc::from("{}"));
+            }
+            // The aggregate answers first; the pipelined ping follows.
+            let next = conn.advance(&limits, &stats);
+            assert!(
+                matches!(next.as_slice(), [Action::Line(l)] if l.contains("ping")),
+                "{next:?}"
+            );
+            let results = vec!["{}"; n].join(",");
+            assert_eq!(
+                out_str(&conn),
+                format!(
+                    "{{\"n\":{n},\"ok\":true,\"op\":\"compile_batch\",\"results\":[{results}]}}\n"
+                )
+            );
+        }
+        assert_eq!(stats.snapshot().batches, 2);
+    }
+
+    #[test]
+    fn whole_line_batch_errors_match_the_streamed_ones() {
+        let (limits, stats) = (limits(), StatsRegistry::new());
+        let cases: [(&[u8], &str); 3] = [
+            (b"{\"op\":\"compile_batch\"}\n", "missing `requests` array"),
+            (
+                b"{\"requests\":5,\"op\":\"compile_batch\"}\n",
+                "missing `requests` array",
+            ),
+            (
+                b"{\"requests\":[],\"parallelism\":0,\"op\":\"compile_batch\"}\n",
+                "bad `parallelism`",
+            ),
+        ];
+        for (line, message) in cases {
+            let mut conn = Conn::new();
+            conn.push_bytes(line);
+            assert!(conn.advance(&limits, &stats).is_empty());
+            let out = out_str(&conn);
+            assert!(
+                out.contains("\"ok\":false") && out.contains(message),
+                "{out}"
+            );
+        }
+        assert_eq!(stats.snapshot().errors, 3);
+        // Not a batch at all, or not JSON: left to the dispatcher whole.
+        for line in [
+            &b"{\"request\":{},\"op\":\"compile\"}\n"[..],
+            b"{\"op\":[[[\n",
+        ] {
+            let mut conn = Conn::new();
+            conn.push_bytes(line);
+            let actions = conn.advance(&limits, &stats);
+            assert!(
+                matches!(actions.as_slice(), [Action::Line(_)]),
+                "{actions:?}"
+            );
+        }
     }
 
     #[test]

@@ -183,37 +183,13 @@ impl CompileRequest {
 
     /// Decode from the JSON object form.
     pub fn from_json(v: &Json) -> Result<Self, String> {
-        Self::from_json_with_defaults(v, None, None)
+        Self::take_from_json(v.clone(), None, None)
     }
 
-    /// Decode a (possibly abbreviated) request object: a batch entry may
-    /// omit `machine`/`config` and inherit the batch-level defaults the
-    /// client hoisted out of the entry list.
-    pub fn from_json_with_defaults(
-        v: &Json,
-        default_machine: Option<&str>,
-        default_config: Option<&str>,
-    ) -> Result<Self, String> {
-        let field = |k: &str, default: Option<&str>| -> Result<String, String> {
-            match v.get(k).map(|f| f.as_str()) {
-                Some(Some(s)) => Ok(s.to_string()),
-                Some(None) => Err(format!("request field `{k}` is not a string")),
-                None => default
-                    .map(str::to_string)
-                    .ok_or_else(|| format!("request missing string field `{k}`")),
-            }
-        };
-        Ok(CompileRequest {
-            loop_text: field("loop", None)?,
-            machine_text: field("machine", default_machine)?,
-            config_text: field("config", default_config)?,
-        })
-    }
-
-    /// Consuming variant of [`CompileRequest::from_json_with_defaults`]:
-    /// moves the sections out of an owned entry instead of cloning them —
-    /// the batch path owns its entry array, so each loop body transfers
-    /// into the request without a copy.
+    /// Decode an owned (possibly abbreviated) request object, moving the
+    /// sections out instead of cloning them: a batch entry may omit
+    /// `machine`/`config` and inherit the batch-level defaults the client
+    /// hoisted out of the entry list.
     pub fn take_from_json(
         v: Json,
         default_machine: Option<&str>,

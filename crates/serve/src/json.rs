@@ -290,12 +290,31 @@ pub(crate) fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), JsonPar
     }
 }
 
+/// Deepest array/object nesting the parser accepts. The parser recurses
+/// once per level, so without a bound one line of `[[[[…` overflows the
+/// stack of whichever thread parses it. Nothing the server, client or disk
+/// tier writes nests deeper than six levels (a batch response's
+/// `results[].result.diagnostics[]` entries), so 128 leaves ample room.
+pub(crate) const MAX_DEPTH: usize = 128;
+
 pub(crate) fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonParseError> {
+    parse_nested(bytes, pos, 0)
+}
+
+/// [`parse_value`] for a value nested inside `depth` enclosing containers.
+fn parse_nested(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonParseError> {
     skip_ws(bytes, pos);
-    match bytes.get(*pos) {
+    let open = bytes.get(*pos);
+    if matches!(open, Some(b'{' | b'[')) && depth >= MAX_DEPTH {
+        return Err(fail(
+            *pos,
+            format!("nesting deeper than {MAX_DEPTH} levels"),
+        ));
+    }
+    match open {
         None => Err(fail(*pos, "unexpected end of input")),
-        Some(b'{') => parse_obj(bytes, pos),
-        Some(b'[') => parse_arr(bytes, pos),
+        Some(b'{') => parse_obj(bytes, pos, depth + 1),
+        Some(b'[') => parse_arr(bytes, pos, depth + 1),
         Some(b'"') => parse_str(bytes, pos).map(Json::Str),
         Some(b't') => parse_lit(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(bytes, pos, "false", Json::Bool(false)),
@@ -418,7 +437,7 @@ fn parse_str(bytes: &[u8], pos: &mut usize) -> Result<String, JsonParseError> {
     }
 }
 
-fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonParseError> {
+fn parse_arr(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonParseError> {
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -427,7 +446,7 @@ fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonParseError> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_nested(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -560,7 +579,7 @@ pub(crate) fn scan_value(bytes: &[u8], start: usize) -> Result<Scan, JsonParseEr
     }
 }
 
-fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonParseError> {
+fn parse_obj(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonParseError> {
     expect(bytes, pos, b'{')?;
     let mut map = BTreeMap::new();
     skip_ws(bytes, pos);
@@ -573,7 +592,7 @@ fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonParseError> {
         let key = parse_key(bytes, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_nested(bytes, pos, depth)?;
         map.insert(key, value);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -659,6 +678,26 @@ mod tests {
         assert!(scan_value(b":1", 0).is_err());
         // Whitespace-only input is partial (the value hasn't started yet).
         assert_eq!(scan_value(b"  ", 0).unwrap(), Scan::Partial);
+    }
+
+    #[test]
+    fn nesting_is_bounded_with_a_typed_error() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        // Exactly MAX_DEPTH (128) levels parse; one more is a typed error
+        // at the offset of the first container past the bound.
+        assert!(parse_json(&nested(MAX_DEPTH)).is_ok());
+        let err = parse_json(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        assert!(err.message.contains("nesting"), "{err}");
+        // Objects count too, and a 200 000-deep unterminated line fails
+        // fast instead of overflowing the stack.
+        let objs = "{\"a\":".repeat(MAX_DEPTH + 1) + "1" + &"}".repeat(MAX_DEPTH + 1);
+        assert!(parse_json(&objs).is_err());
+        let hostile = format!("{{\"op\":\"compile\",\"request\":{}", "[".repeat(200_000));
+        assert!(parse_json(&hostile)
+            .unwrap_err()
+            .message
+            .contains("nesting"));
     }
 
     #[test]

@@ -18,10 +18,9 @@
 //! * [`server`] / [`client`] — JSON-lines protocol over TCP, server
 //!   (`vliw-served`) and client CLI (`vliw-client`), including the
 //!   `compile_batch` op (N requests, one wire round trip);
-//! * [`sys`] / [`reactor`] — the default event-driven serving core: a
-//!   libc-free epoll/poll readiness facility and the reactor that
-//!   multiplexes every connection on one thread while a worker pool runs
-//!   the compiles (a thread-per-connection core remains as baseline);
+//! * [`sys`] / [`reactor`] — the event-driven serving core: a libc-free
+//!   epoll/poll readiness facility and the reactor that multiplexes every
+//!   connection on one thread while a worker pool runs the compiles;
 //! * [`hist`] — lock-free log-linear latency histograms whose buckets are
 //!   additive, so sharded stats merge into honest percentiles;
 //! * [`ring`] / [`shard`] — consistent-hash routing over multiple peers
@@ -50,15 +49,12 @@ pub mod sys;
 
 pub use cache::{DiskStore, MemCache, TieredCache, WriteBehind};
 pub use client::{Client, ClientError, ServedResult};
-pub use compile::{CachedCompiler, CompileError, Source};
+pub use compile::{CachedCompiler, CompileError, RequestCtx, Source};
 pub use envelope::{CacheKey, CompileRequest, CompileResult, RequestError, CACHE_FORMAT_VERSION};
 pub use hash::sha256_hex;
 pub use json::{parse_json, Json, JsonParseError};
 pub use ring::{HashRing, VNODES_PER_PEER};
-pub use server::{
-    handle_line, ServeOptions, Server, ServerConfig, ServerCore, ShutdownHandle,
-    AGGREGATE_SUM_FIELDS,
-};
+pub use server::{Server, ServerConfig, ShutdownHandle, AGGREGATE_SUM_FIELDS};
 pub use shard::{PeerStats, ShardedClient};
 pub use stats::{StatsRegistry, StatsSnapshot};
 

@@ -2,8 +2,8 @@
 //! connection over an OS readiness facility ([`crate::sys::Poller`]), plus
 //! a small compile worker pool.
 //!
-//! The thread-per-connection core holds a thread (and its stack) hostage
-//! for every open socket, so a few hundred idle clients exhaust the pool
+//! A thread per connection would hold a thread (and its stack) hostage for
+//! every open socket, so a few hundred idle clients would exhaust the pool
 //! while zero compiles run. Here sockets are non-blocking and registered
 //! with epoll (or `poll(2)` as a portable fallback); the reactor thread
 //! owns all socket I/O and protocol parsing (via [`crate::conn::Conn`]),
@@ -21,13 +21,12 @@
 //! maxed-out batch keeps READ interest off and lets the kernel's TCP
 //! window throttle the client.
 
-use crate::compile::CachedCompiler;
+use crate::compile::{CachedCompiler, RequestCtx};
 use crate::conn::{Action, BatchDefaults, Conn, ConnLimits};
 use crate::envelope::CompileRequest;
 use crate::json as js;
 use crate::server::{
-    compile_entry_ctx, doc_is_shed, error_response, handle_line_ctx, reject_response,
-    shed_response, RequestCtx, ServeOptions,
+    compile_response, doc_is_shed, error_response, handle_line, reject_response, shed_response,
 };
 use crate::sys::{Interest, Poller, PollerConfig, Waker};
 use std::io::{self, Read, Write};
@@ -57,8 +56,10 @@ fn split_token(token: u64) -> (usize, u32) {
 
 /// Reactor tuning, assembled by the server front-end from `ServerConfig`.
 pub(crate) struct ReactorConfig {
-    /// Request-level options forwarded to the dispatcher.
-    pub opts: ServeOptions,
+    /// Deadline for requests that carry no `timeout_ms`.
+    pub default_timeout: Duration,
+    /// Cap on one batch's in-flight entries.
+    pub batch_parallelism: usize,
     /// Compile worker pool size.
     pub workers: usize,
     /// Close connections idle longer than this (`None` = never).
@@ -74,7 +75,7 @@ pub(crate) struct ReactorConfig {
     pub governor: Arc<Governor>,
 }
 
-/// One streamed batch entry inside a [`Job::Entries`] group.
+/// One batch entry inside a [`Work::Entries`] group.
 struct EntryJob {
     gen: u64,
     idx: usize,
@@ -83,26 +84,24 @@ struct EntryJob {
     defaults: Arc<BatchDefaults>,
 }
 
-/// A parsed unit of work bound for the worker pool.
-enum Job {
+/// A parsed unit of work bound for the worker pool, from the connection
+/// in `slot` (at `epoch`).
+struct Job {
+    slot: usize,
+    epoch: u32,
+    enqueued: Instant,
+    work: Work,
+}
+
+enum Work {
     /// One complete stand-alone request line.
-    Line {
-        slot: usize,
-        epoch: u32,
-        line: String,
-        enqueued: Instant,
-    },
-    /// A group of streamed batch entries from one connection, executed
-    /// sequentially by one worker. Entries that become ready together are
-    /// chunked across the pool, so a bulk arrival pays one queue handoff
-    /// per worker instead of one per entry, while entries that trickle in
-    /// off the wire still dispatch individually.
-    Entries {
-        slot: usize,
-        epoch: u32,
-        entries: Vec<EntryJob>,
-        enqueued: Instant,
-    },
+    Line(String),
+    /// A group of batch entries from one connection, executed sequentially
+    /// by one worker. Entries that become ready together are chunked
+    /// across the pool, so a bulk arrival pays one queue handoff per worker
+    /// instead of one per entry, while entries that trickle in off the
+    /// wire still dispatch individually.
+    Entries(Vec<EntryJob>),
 }
 
 /// A finished job's rendered response, routed back by slot+epoch.
@@ -210,7 +209,7 @@ fn worker_loop(
     shared: Arc<PoolShared>,
     engine: Arc<CachedCompiler>,
     shutdown: Arc<AtomicBool>,
-    opts: ServeOptions,
+    default_timeout: Duration,
 ) {
     loop {
         // Workers prefer the interactive lane, with two carve-outs for
@@ -263,53 +262,48 @@ fn worker_loop(
             }
         };
         let Some((job, lane)) = picked else { return };
-        match job {
-            Job::Line {
-                slot,
-                epoch,
-                line,
-                enqueued,
-            } => {
-                let wait = enqueued.elapsed();
-                engine.stats().observe_queue_us(wait.as_micros() as u64);
-                let ctx = RequestCtx {
-                    queue_wait: wait,
-                    lane: Some(lane),
-                    governor: Some(Arc::clone(&shared.governor)),
-                };
+        let wait = job.enqueued.elapsed();
+        engine.stats().observe_queue_us(wait.as_micros() as u64);
+        let ctx = RequestCtx {
+            timeout: None,
+            queue_wait: wait,
+            lane: Some(lane),
+            governor: Some(Arc::clone(&shared.governor)),
+        };
+        // A shed renders in microseconds; feeding that to the classifier
+        // would demote genuinely heavy shapes into the interactive lane.
+        let observe = |text: &str, doc: &str, served: Instant| {
+            if !doc_is_shed(doc) {
+                shared
+                    .governor
+                    .observe_service(text, lane, served.elapsed());
+            }
+        };
+        let (slot, epoch) = (job.slot, job.epoch);
+        match job.work {
+            Work::Line(line) => {
                 let served = Instant::now();
-                let doc = handle_line_ctx(&line, &engine, &shutdown, opts, &ctx).render();
-                // A shed renders in microseconds; feeding that to the
-                // classifier would demote genuinely heavy shapes into the
-                // interactive lane.
-                if !doc_is_shed(&doc) {
-                    shared
-                        .governor
-                        .observe_service(&line, lane, served.elapsed());
-                }
+                let doc = handle_line(
+                    &line,
+                    &engine,
+                    &shutdown,
+                    default_timeout,
+                    &shared.governor,
+                    &ctx,
+                )
+                .render();
+                observe(&line, &doc, served);
                 shared.complete(Done::Line { slot, epoch, doc });
             }
-            Job::Entries {
-                slot,
-                epoch,
-                entries,
-                enqueued,
-            } => {
-                let wait = enqueued.elapsed();
-                engine.stats().observe_queue_us(wait.as_micros() as u64);
-                let ctx = RequestCtx {
-                    queue_wait: wait,
-                    lane: Some(lane),
-                    governor: Some(Arc::clone(&shared.governor)),
-                };
+            Work::Entries(entries) => {
                 for e in entries {
                     let served = Instant::now();
-                    let doc = run_entry(&engine, opts, &e.text, e.timeout_ms, &e.defaults, &ctx);
-                    if !doc_is_shed(&doc) {
-                        shared
-                            .governor
-                            .observe_service(&e.text, lane, served.elapsed());
-                    }
+                    let ctx = RequestCtx {
+                        timeout: Some(e.timeout_ms.map_or(default_timeout, Duration::from_millis)),
+                        ..ctx.clone()
+                    };
+                    let doc = run_entry(&engine, &e, &ctx);
+                    observe(&e.text, &doc, served);
                     shared.complete(Done::Entry {
                         slot,
                         epoch,
@@ -331,35 +325,20 @@ fn worker_loop(
     }
 }
 
-/// Compile one streamed batch entry into its rendered slot document.
-/// Per-entry failures (parse or compile) fail that entry alone, matching
-/// the tree batch handler's contract.
-fn run_entry(
-    engine: &Arc<CachedCompiler>,
-    opts: ServeOptions,
-    text: &str,
-    timeout_ms: Option<u64>,
-    defaults: &BatchDefaults,
-    ctx: &RequestCtx,
-) -> Arc<str> {
-    let entry = match js::parse_json(text) {
-        Ok(v) => v,
-        Err(e) => {
-            engine.stats().error();
-            return error_response(e.to_string()).render().into();
-        }
-    };
-    let resp = match CompileRequest::take_from_json(
-        entry,
-        defaults.machine.as_deref(),
-        defaults.config.as_deref(),
-    ) {
-        Ok(req) => {
-            let timeout = timeout_ms
-                .map(Duration::from_millis)
-                .unwrap_or(opts.default_timeout);
-            compile_entry_ctx(engine, &req, timeout, "compile", ctx)
-        }
+/// Compile one batch entry into its rendered slot document. Per-entry
+/// failures (parse or compile) fail that entry alone.
+fn run_entry(engine: &Arc<CachedCompiler>, e: &EntryJob, ctx: &RequestCtx) -> Arc<str> {
+    let request = js::parse_json(&e.text)
+        .map_err(|err| err.to_string())
+        .and_then(|entry| {
+            CompileRequest::take_from_json(
+                entry,
+                e.defaults.machine.as_deref(),
+                e.defaults.config.as_deref(),
+            )
+        });
+    let resp = match request {
+        Ok(req) => compile_response(engine, &req, ctx),
         Err(m) => {
             engine.stats().error();
             error_response(m)
@@ -433,10 +412,10 @@ pub(crate) fn run(
             let shared = Arc::clone(&pool);
             let engine = Arc::clone(&engine);
             let shutdown = Arc::clone(&shutdown);
-            let opts = config.opts;
+            let default_timeout = config.default_timeout;
             std::thread::Builder::new()
                 .name(format!("serve-worker-{i}"))
-                .spawn(move || worker_loop(shared, engine, shutdown, opts))
+                .spawn(move || worker_loop(shared, engine, shutdown, default_timeout))
                 .expect("spawn worker thread")
         })
         .collect();
@@ -452,7 +431,7 @@ pub(crate) fn run(
         next_epoch: 0,
         live: 0,
         limits: ConnLimits {
-            opts: config.opts,
+            batch_parallelism: config.batch_parallelism,
             max_line_bytes: config.max_line_bytes,
         },
         workers,
@@ -647,11 +626,11 @@ impl Reactor {
                                     lane,
                                     idx as u64,
                                     1,
-                                    Job::Line {
+                                    Job {
                                         slot: idx,
                                         epoch,
-                                        line,
                                         enqueued: Instant::now(),
+                                        work: Work::Line(line),
                                     },
                                 );
                             }
@@ -753,11 +732,11 @@ impl Reactor {
                 lane,
                 idx as u64,
                 cost,
-                Job::Entries {
+                Job {
                     slot: idx,
                     epoch,
-                    entries: chunk,
                     enqueued: Instant::now(),
+                    work: Work::Entries(chunk),
                 },
             );
         }

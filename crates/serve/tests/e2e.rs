@@ -11,7 +11,7 @@ use vliw_machine::MachineDesc;
 use vliw_pipeline::PipelineConfig;
 use vliw_serve::{
     CachedCompiler, Client, ClientError, CompileRequest, DiskStore, Json, Server, ServerConfig,
-    ServerCore, ShardedClient, TieredCache,
+    ShardedClient, TieredCache,
 };
 
 struct TestServer {
@@ -26,7 +26,7 @@ impl TestServer {
     }
 
     /// Like [`TestServer::start`], with a config hook for per-test knobs
-    /// (core selection, worker count, idle timeout, line cap, ...).
+    /// (worker count, idle timeout, line cap, ...).
     fn start_with(disk: Option<DiskStore>, tweak: impl FnOnce(&mut ServerConfig)) -> TestServer {
         let engine = CachedCompiler::new(TieredCache::new(1024, disk));
         let mut config = ServerConfig {
@@ -397,7 +397,7 @@ fn entry_json(req: &CompileRequest) -> String {
 
 #[test]
 fn reactor_holds_512_mostly_idle_connections_on_two_workers() {
-    // The thread-pool core would need 512 threads for this; the reactor
+    // A thread per connection would need 512 threads for this; the reactor
     // holds them all on one thread with a 2-worker compile pool.
     let server = TestServer::start_with(None, |c| {
         c.workers = 2;
@@ -777,15 +777,76 @@ fn interactive_exact_compiles_are_pool_accounted() {
     server.stop();
 }
 
+/// Send one raw line on a fresh connection and read its response line.
+fn exchange_raw(addr: &str, line: &[u8]) -> String {
+    let mut s = TcpStream::connect(addr).expect("raw connect");
+    s.write_all(line).expect("send raw line");
+    read_line_raw(&mut s)
+}
+
 #[test]
-fn thread_pool_core_still_serves() {
-    let server = TestServer::start_with(None, |c| c.core = ServerCore::ThreadPool);
+fn over_deep_json_gets_a_typed_error_not_a_crash() {
+    // The parser accepts 128 levels of nesting. Deeper lines used to
+    // overflow a worker's stack (a compile request) or the reactor
+    // thread's (a batch header), killing the whole process.
+    let server = TestServer::start(None);
+    let mut deep_request = b"{\"op\":\"compile\",\"request\":".to_vec();
+    deep_request.extend(std::iter::repeat_n(b'[', 200_000));
+    deep_request.push(b'\n');
+    let resp = exchange_raw(&server.addr, &deep_request);
+    assert!(resp.contains("\"ok\":false"), "{resp}");
+    assert!(resp.contains("nesting deeper than 128"), "{resp}");
+
+    let levels = 3 << 20; // a 6 MiB line
+    let mut deep_header = b"{\"op\":\"compile_batch\",\"defaults\":".to_vec();
+    deep_header.extend(std::iter::repeat_n(b'[', levels));
+    deep_header.extend(std::iter::repeat_n(b']', levels));
+    deep_header.extend_from_slice(b",\"requests\":[]}\n");
+    let resp = exchange_raw(&server.addr, &deep_header);
+    assert!(
+        resp.contains("\"ok\":false"),
+        "{}",
+        &resp[..resp.len().min(200)]
+    );
+    assert!(resp.contains("nesting deeper than 128"), "{resp}");
+
+    let pong = exchange_raw(&server.addr, b"{\"op\":\"ping\"}\n");
+    assert_eq!(pong, "{\"ok\":true,\"op\":\"ping\"}");
+    server.stop();
+}
+
+#[test]
+fn batch_field_order_does_not_change_the_response() {
+    let server = TestServer::start(None);
+    let reqs: Vec<CompileRequest> = (0..3).map(sample_request).collect();
+    // Warm every well-formed entry, so both spellings below are warm.
     let mut client = server.client();
-    client.ping().expect("ping over thread-pool core");
-    let out = client
-        .compile(&sample_request(5), None)
-        .expect("compile over thread-pool core");
-    assert_eq!(out.served, "compiled");
+    for r in client.compile_batch(&reqs, None, None).expect("warm-up") {
+        r.expect("warm-up entry compiles");
+    }
+    let mut entries: Vec<String> = reqs.iter().map(entry_json).collect();
+    // A malformed entry fails alone, identically in both spellings.
+    entries.insert(
+        1,
+        "{\"loop\":\"not a loop\",\"machine\":\"m\",\"config\":\"\"}".into(),
+    );
+    let entries = entries.join(",");
+    let canonical =
+        format!("{{\"op\":\"compile_batch\",\"timeout_ms\":20000,\"requests\":[{entries}]}}\n");
+    let reordered =
+        format!("{{\"requests\":[{entries}],\"timeout_ms\":20000,\"op\":\"compile_batch\"}}\n");
+    let a = exchange_raw(&server.addr, canonical.as_bytes());
+    let b = exchange_raw(&server.addr, reordered.as_bytes());
+    assert!(a.starts_with("{\"n\":4,\"ok\":true,"), "{a}");
+    assert_eq!(a.matches("\"served\":\"cache\"").count(), 3, "{a}");
+    assert_eq!(a.matches("\"ok\":false").count(), 1, "{a}");
+    assert_eq!(a, b, "field order must not change the response bytes");
+
+    // Both were split into per-entry work: two batches more, no compiles.
+    let stats = client.stats().expect("stats");
+    let n = |k: &str| stats.get(k).and_then(Json::as_f64).unwrap() as u64;
+    assert_eq!(n("batches"), 3);
+    assert_eq!(n("compiles"), 3);
     server.stop();
 }
 
